@@ -7,7 +7,7 @@
 // ISSUE 7 adds the transposition-table rows: full games of Othello and
 // Connect4 at a fixed per-move simulation budget, TT on vs off (no eval
 // cache in these rows, so the reduction is the TT's alone). Grafts must
-// cut both node expansions and backend evaluations while — kPriors being
+// cut both node expansions and backend evaluations while — grafts being
 // bitwise-faithful — leaving every move of the game identical.
 //
 // Setup mirrors fig_service_throughput: K serial-engine Gomoku games share
@@ -21,11 +21,9 @@
 // ISSUE 9 adds the lane-shared TT rows: the same K-game pool-mode service
 // run twice — each engine owning a PRIVATE table vs all K games grafting
 // from one lane-owned SHARED table (eval cache off in both, so the delta
-// is transposition memory's alone). Under kPriors both runs must replay
-// identical games while the shared run performs fewer backend evaluations
-// at K >= 4 (cross-game residency: one game's expansion is every sibling's
-// graft). A graft-mode gate row (kStats vs kPriors match play) records the
-// evidence DESIGN_transposition.md cites for the default graft mode.
+// is transposition memory's alone). Both runs must replay identical games
+// while the shared run performs fewer backend evaluations at K >= 4
+// (cross-game residency: one game's expansion is every sibling's graft).
 
 #include <cstdio>
 #include <memory>
@@ -37,7 +35,6 @@
 #include "games/gomoku.hpp"
 #include "games/othello.hpp"
 #include "mcts/engine.hpp"
-#include "serve/graft_gate.hpp"
 #include "serve/match_service.hpp"
 #include "support/table.hpp"
 #include "support/timer.hpp"
@@ -64,29 +61,38 @@ struct RunResult {
   std::vector<int> moves;
 };
 
-// Plays 2·K games on K slots over a fresh shared queue; cache_capacity 0
-// runs without a cache attached.
+// Plays 2·K games on K slots over a fresh one-lane pool; cache_capacity 0
+// runs the lane without a cache.
 RunResult run_service(const Game& game, int concurrent_games,
                       std::size_t cache_capacity) {
   SyntheticEvaluator eval(game.action_count(), game.encode_size());
   SimGpuBackend backend(eval, GpuTimingModel{}, /*emulate_wall_time=*/true);
-  EvalCache cache({.capacity = cache_capacity ? cache_capacity : 1,
-                   .shards = 8,
-                   .ways = 4});
-  AsyncBatchEvaluator queue(backend, /*batch_threshold=*/4, /*num_streams=*/2,
-                            /*stale_flush_us=*/1500.0);
-  if (cache_capacity > 0) queue.set_cache(&cache);
+  EvaluatorPool pool;
+  ModelSpec spec;
+  spec.name = "net";
+  spec.backend = &backend;
+  spec.batch_threshold = 4;
+  spec.num_streams = 2;
+  spec.stale_flush_us = 1500.0;
+  spec.cache = cache_capacity > 0;
+  spec.cache_cfg = {.capacity = cache_capacity, .shards = 8, .ways = 4};
+  pool.add_model(spec);
+
+  ServiceWorkload w;
+  w.proto = std::shared_ptr<const Game>(game.clone());
+  w.model = "net";
+  w.slots = concurrent_games;
+  w.engine.mcts.num_playouts = 64;
+  w.engine.scheme = Scheme::kSerial;
+  w.engine.adapt = false;
 
   ServiceConfig sc;
-  sc.engine.mcts.num_playouts = 64;
-  sc.engine.scheme = Scheme::kSerial;
-  sc.engine.adapt = false;
-  sc.slots = concurrent_games;
   sc.workers = 8;
+  sc.aggregate.enabled = false;
 
   RunResult r;
   {
-    MatchService service(sc, game, {.batch = &queue});
+    MatchService service(sc, pool, {std::move(w)});
     service.enqueue(2 * concurrent_games);
     service.start();
     service.drain();
@@ -97,7 +103,7 @@ RunResult run_service(const Game& game, int concurrent_games,
     }
     service.stop();
   }
-  r.cache = cache.stats();
+  r.cache = pool.lane_stats(0).cache;
   return r;
 }
 
@@ -146,8 +152,9 @@ TtRunResult run_tt_game(const Game& game, int playouts, bool tt_on) {
 
 // Plays 2·K games on K pool-mode slots, eval cache OFF; `shared` hands all
 // K games one lane-owned TT, otherwise each engine keeps a private table of
-// the same size. Identical engine templates and seeds either way, so under
-// kPriors the two runs must produce identical games.
+// the same size. Identical engine templates and seeds either way, and a
+// graft installs exactly what a cold expansion would, so the two runs must
+// produce identical games.
 RunResult run_lane_tt_service(const Game& game, int concurrent_games,
                               bool shared) {
   SyntheticEvaluator eval(game.action_count(), game.encode_size());
@@ -295,7 +302,7 @@ int main(int argc, char** argv) {
            {"othello6", othello, 512}, {"connect4", connect4, 512}}) {
     const TtRunResult off = run_tt_game(tc.game, tc.playouts, false);
     const TtRunResult on = run_tt_game(tc.game, tc.playouts, true);
-    // kPriors grafting is bitwise-faithful under the deterministic serial
+    // Grafting is bitwise-faithful under the deterministic serial
     // scheme: the whole game must replay move for move.
     tt_identical = tt_identical && on.actions == off.actions &&
                    on.winner == off.winner;
@@ -338,7 +345,7 @@ int main(int argc, char** argv) {
   for (const int k : {2, 4, 8}) {
     const RunResult priv = run_lane_tt_service(game, k, /*shared=*/false);
     const RunResult shrd = run_lane_tt_service(game, k, /*shared=*/true);
-    // kPriors grafts install exactly what a cold expansion would have, so
+    // Grafts install exactly what a cold expansion would have, so
     // sharing the table across games must not move a single result.
     shared_identical = shared_identical && shrd.winners == priv.winners &&
                        shrd.moves == priv.moves;
@@ -371,56 +378,7 @@ int main(int argc, char** argv) {
   }
   stable.print(
       "lane-shared vs per-engine private TT: 2K games on K slots, "
-      "kPriors grafts, no eval cache");
-
-  // --- graft-mode gate: kStats vs kPriors match play ----------------------
-  // Informational (not exit-gated): the recorded score is the evidence
-  // DESIGN_transposition.md cites for keeping or flipping the default
-  // graft mode. A play-neutral kStats scores ~0.5 by color-swap symmetry.
-  Table gtable({"game", "games", "kStats W/L/D", "score", "pass"});
-  struct GateCase {
-    const char* name;
-    const Game& game;
-  };
-  for (const GateCase& gc : std::initializer_list<GateCase>{
-           {"connect4", connect4}, {"othello6", othello}}) {
-    SyntheticEvaluator geval(gc.game.action_count(), gc.game.encode_size());
-    SimGpuBackend gbackend(geval, GpuTimingModel{});
-    EvaluatorPool gpool;
-    ModelSpec gspec;
-    gspec.name = "net";
-    gspec.backend = &gbackend;
-    gspec.batch_threshold = 1;
-    gspec.stale_flush_us = 500.0;
-    gpool.add_model(gspec);
-
-    GraftGateConfig gcfg;
-    gcfg.model = "net";
-    gcfg.games = 12;
-    gcfg.opening_moves = 2;
-    gcfg.max_moves = 72;
-    gcfg.engine.mcts.num_playouts = 160;
-    gcfg.engine.scheme = Scheme::kSerial;
-    gcfg.engine.adapt = false;
-    gcfg.engine.tt.capacity = 1 << 14;
-    gcfg.engine.tt.max_edges = 64;
-
-    const MatchGateReport rep = run_graft_gate(gpool, gc.game, gcfg);
-    gtable.add_row({gc.name, std::to_string(rep.games),
-                    std::to_string(rep.candidate_wins) + "/" +
-                        std::to_string(rep.candidate_losses) + "/" +
-                        std::to_string(rep.draws),
-                    Table::fmt(rep.candidate_score, 3),
-                    rep.pass ? "yes" : "NO"});
-    const std::string suffix = std::string("_") + gc.name;
-    json.entry("graft_gate_kstats_score" + suffix, rep.candidate_score,
-               "score");
-    json.entry("graft_gate_kstats_pass" + suffix, rep.pass ? 1.0 : 0.0,
-               "bool");
-  }
-  gtable.print(
-      "graft-mode gate: kStats (candidate) vs kPriors (baseline), "
-      "color-swap pairs, serial 160-playout engines");
+      "no eval cache");
 
   json.entry("shared_tt_results_identical", shared_identical ? 1.0 : 0.0,
              "bool");

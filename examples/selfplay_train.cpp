@@ -10,6 +10,9 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include <memory>
+
+#include "eval/gpu_model.hpp"
 #include "eval/net_evaluator.hpp"
 #include "games/gomoku.hpp"
 #include "nn/serialize.hpp"
@@ -25,22 +28,38 @@ int main(int argc, char** argv) {
   const apm::Gomoku game(board, board >= 5 ? 4 : 3);
   apm::PolicyValueNet net(apm::NetConfig::tiny(board), /*seed=*/3);
   apm::NetEvaluator evaluator(net);
+  apm::CpuBackend backend(evaluator);
 
   // Service path: one engine per concurrent game. Each engine starts on the
   // local-tree scheme and may re-decide (scheme, N) — and with it the
   // virtual-loss constant — per move from live costs; `slots` games share
-  // the evaluator so the pipeline never idles on a single game's tail.
+  // the net's pool lane so the pipeline never idles on a single game's
+  // tail. Threshold 1 dispatches every request at once, one evaluation
+  // stream per concurrent game; no cache, since SGD rewrites the weights
+  // between waves.
+  apm::EvaluatorPool pool;
+  apm::ModelSpec spec;
+  spec.name = "net";
+  spec.backend = &backend;
+  spec.batch_threshold = 1;
+  spec.num_streams = slots;
+  spec.cache = false;
+  pool.add_model(spec);
+  apm::ServiceWorkload w;
+  w.proto = std::shared_ptr<const apm::Game>(game.clone());
+  w.model = "net";
+  w.slots = slots;
+  w.engine.mcts.num_playouts = playouts;
+  w.engine.mcts.root_noise = true;  // exploration during self-play
+  w.engine.scheme = apm::Scheme::kLocalTree;
+  w.engine.workers = workers;
+  w.engine.adaptive.worker_candidates = {1, 2, workers};
+  w.self_play.temperature_moves = board;  // explore the opening
+  w.self_play.augment = true;
   apm::ServiceConfig sc;
-  sc.engine.mcts.num_playouts = playouts;
-  sc.engine.mcts.root_noise = true;  // exploration during self-play
-  sc.engine.scheme = apm::Scheme::kLocalTree;
-  sc.engine.workers = workers;
-  sc.engine.adaptive.worker_candidates = {1, 2, workers};
-  sc.slots = slots;
   sc.workers = slots;  // one service thread per concurrent game
-  sc.self_play.temperature_moves = board;  // explore the opening
-  sc.self_play.augment = true;
-  apm::MatchService service(sc, game, {.evaluator = &evaluator});
+  sc.aggregate.enabled = false;
+  apm::MatchService service(sc, pool, {std::move(w)});
 
   apm::TrainerConfig tc;
   tc.sgd_iters_per_move = 4;

@@ -43,10 +43,11 @@
 // SearchResources::tt_shared); invalidate(id) clears it with the lane's
 // cache because both memoise the lane's weights. TT entries are position
 // memos of a deterministic evaluator, so cross-game residency is sound
-// (the same argument as tt_keep_across_games, made structural), and under
-// GraftMode::kPriors per-game results remain a pure function of the game
-// seed — independent of worker count, of sharing, and of which sibling
-// game warmed the table (pinned by test_shared_tt and bench/fig_cache).
+// (the same argument as tt_keep_across_games, made structural), and since
+// a graft installs exactly the stored priors, per-game results remain a
+// pure function of the game seed — independent of worker count, of
+// sharing, and of which sibling game warmed the table (pinned by
+// test_shared_tt and bench/fig_cache).
 //
 // Per-lane precision contract: precision is a property of the LANE, not of
 // the serving plane — declared at registration (ModelSpec::precision) and
@@ -59,8 +60,8 @@
 // flows into its thresholds automatically. Registering the same logical
 // net twice at different precisions (e.g. "net" and "net-int8") yields two
 // fully isolated lanes — separate queues, caches, thresholds — which is
-// exactly what the match-play precision gate (serve/precision_gate.hpp)
-// races against each other.
+// exactly what the match-play gate (serve/match_gate.hpp) races against
+// each other.
 //
 // invalidate(id) semantics are precision-INDEPENDENT: it clears the lane's
 // cache because the lane's weights changed, whatever arithmetic the lane
@@ -73,7 +74,7 @@
 // aggregate_controller.hpp) re-tunes each lane's threshold independently
 // from that lane's measured arrival rate. Per-game engines never manage a
 // pooled queue's threshold (MatchService forces manage_batch_threshold
-// off, as with the PR-3 shared queue).
+// off).
 //
 // Thread safety: registration is single-threaded setup (add_model before
 // any service attaches); the lane accessors are const after that and the

@@ -2,16 +2,18 @@
 // Generic color-swap-paired match gate — the evidence protocol behind every
 // "does this change alter play?" question in the serving stack.
 //
-// The precision gate (serve/precision_gate.hpp) established the protocol
-// for quantized lanes: race two configurations head to head in color-
-// swapped pairs with shared per-pair openings, score the candidate as
-// (wins + draws/2) / games, and pass it only within a configured band of
-// parity. The protocol is not precision-specific — the same experiment
-// answers "is GraftMode::kStats play-neutral?" (serve/graft_gate.hpp) or
-// any future A/B over engines — so it lives here once, parameterised by
-// two GateSides, and the specific gates are thin adapters.
+// Races two configurations head to head in color-swapped pairs with
+// shared per-pair openings, scores the candidate as (wins + draws/2) /
+// games, and passes it only within a configured band of parity. A
+// quantized lane is admitted this way (an int8 lane against its fp32
+// source, each side a GateSide over its pool lane's queue); any other A/B
+// over engines is the same two-GateSide call.
 //
-// Protocol (exactly the precision gate's, pinned by its tests):
+// Register the raced lanes at batch_threshold 1: the gate is a synchronous
+// single producer per lane, and a serial engine submitting leaf-at-a-time
+// to a threshold-B queue would otherwise pace on the stale-flush timer.
+//
+// Protocol (pinned by test_quant_lane):
 //  * cfg.games rounds UP to whole pairs; both games of pair p start from
 //    the same random opening drawn from Rng(cfg.seed + p * odd-constant),
 //    cfg.opening_moves plies deep (a terminal opening skips the pair).
@@ -41,8 +43,8 @@ namespace apm {
 
 // One contender: an engine template plus the evaluation resource its
 // engines submit to. Exactly one of `queue` / `evaluator` must be set.
-// Side-specific search memory (e.g. a private TT with a candidate graft
-// mode) is declared through `engine.tt` like any other engine option.
+// Side-specific search memory (e.g. a private TT) is declared through
+// `engine.tt` like any other engine option.
 struct GateSide {
   std::string label;
   EngineConfig engine;

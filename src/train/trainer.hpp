@@ -30,7 +30,7 @@ struct TrainerConfig {
   // exactly that model's cached policies stale, so run() invalidates only
   // its cache between waves (other models' residency and hit rates survive
   // — the per-model invalidation contract of serve/evaluator_pool.hpp).
-  // −1 = unknown/legacy: clear every cache attached to the service.
+  // −1 = unknown: clear every lane's cache in the service's pool.
   int model_id = -1;
 };
 
@@ -62,7 +62,7 @@ class Trainer {
   // adaptive engines and the shared evaluator), then each completed
   // episode's samples get cfg.sgd_iters_per_move × moves SGD iterations —
   // one LossPoint per episode, as before. The service must be freshly
-  // constructed over the evaluator that reads this trainer's net; the
+  // constructed over a pool lane whose backend reads this trainer's net; the
   // trainer starts it and leaves it drained (caller stops it).
   std::vector<LossPoint> run(MatchService& service, int episodes,
                              const std::function<void(const LossPoint&)>&

@@ -25,6 +25,7 @@
 #include "eval/gpu_model.hpp"
 #include "games/connect4.hpp"
 #include "serve/match_service.hpp"
+#include "service_test_util.hpp"
 #include "support/rng.hpp"
 
 namespace apm {
@@ -403,28 +404,31 @@ struct ServiceRun {
 
 // Plays `games` Connect4 games on a deterministic serial-engine service
 // (fixed seeds, adaptation off), optionally with an eval cache in front of
-// the shared queue.
+// the lane's shared queue.
 ServiceRun run_service(int games, bool cached) {
   const Connect4 game;
   SyntheticEvaluator eval(game.action_count(), game.encode_size());
   SimGpuBackend sim(eval, GpuTimingModel{});
   CountingBackend backend(sim);
-  EvalCache cache({.capacity = 1 << 12, .shards = 8, .ways = 4});
-  AsyncBatchEvaluator queue(backend, /*batch_threshold=*/4, /*num_streams=*/2,
-                            /*stale_flush_us=*/800.0);
-  if (cached) queue.set_cache(&cache);
+  EvaluatorPool pool;
+  pool.add_model({.name = "net",
+                  .backend = &backend,
+                  .batch_threshold = 4,
+                  .num_streams = 2,
+                  .stale_flush_us = 800.0,
+                  .cache = cached,
+                  .cache_cfg = {.capacity = 1 << 12, .shards = 8, .ways = 4}});
 
-  ServiceConfig sc;
-  sc.engine.mcts.num_playouts = 24;
-  sc.engine.scheme = Scheme::kSerial;
-  sc.engine.adapt = false;
-  sc.slots = 4;
-  sc.workers = 4;
-  sc.self_play.max_moves = 20;
+  ServiceWorkload w = testutil::one_lane_workload(game, /*slots=*/4);
+  w.engine.mcts.num_playouts = 24;
+  w.engine.scheme = Scheme::kSerial;
+  w.engine.adapt = false;
+  w.self_play.max_moves = 20;
+  const ServiceConfig sc = testutil::pinned_service(/*workers=*/4);
 
   ServiceRun run;
   {
-    MatchService service(sc, game, {.batch = &queue});
+    MatchService service(sc, pool, {w});
     service.enqueue(games);
     service.start();
     service.drain();
@@ -473,18 +477,21 @@ TEST(CachedService, StopMidGameWithCacheDoesNotDeadlock) {
   SyntheticEvaluator eval(game.action_count(), game.encode_size(),
                           /*latency_us=*/50.0);
   SimGpuBackend sim(eval, GpuTimingModel{});
-  EvalCache cache({.capacity = 1 << 10, .shards = 4, .ways = 4});
-  AsyncBatchEvaluator queue(sim, 4, 2, /*stale_flush_us=*/800.0);
-  queue.set_cache(&cache);
+  EvaluatorPool pool;
+  pool.add_model({.name = "net",
+                  .backend = &sim,
+                  .batch_threshold = 4,
+                  .num_streams = 2,
+                  .stale_flush_us = 800.0,
+                  .cache_cfg = {.capacity = 1 << 10, .shards = 4, .ways = 4}});
 
-  ServiceConfig sc;
-  sc.engine.mcts.num_playouts = 48;
-  sc.engine.scheme = Scheme::kSerial;
-  sc.engine.adapt = false;
-  sc.slots = 4;
-  sc.workers = 4;
+  ServiceWorkload w = testutil::one_lane_workload(game, /*slots=*/4);
+  w.engine.mcts.num_playouts = 48;
+  w.engine.scheme = Scheme::kSerial;
+  w.engine.adapt = false;
+  const ServiceConfig sc = testutil::pinned_service(/*workers=*/4);
 
-  MatchService service(sc, game, {.batch = &queue});
+  MatchService service(sc, pool, {w});
   service.enqueue(64);
   service.start();
   std::this_thread::sleep_for(std::chrono::milliseconds(20));

@@ -14,6 +14,7 @@
 #include "perfmodel/workflow.hpp"
 #include "train/self_play.hpp"
 #include "train/trainer.hpp"
+#include "service_test_util.hpp"
 
 namespace apm {
 namespace {
@@ -85,15 +86,15 @@ TEST(Trainer, LossDecreasesOverPipelineRun) {
 
   // Trainer::run generates episodes through the concurrent match service
   // (two serial-engine games at a time over the shared evaluator).
-  ServiceConfig sc;
-  sc.engine.mcts = small_search(40);
-  sc.engine.scheme = Scheme::kSerial;
-  sc.engine.adapt = false;
-  sc.slots = 2;
-  sc.workers = 2;
-  sc.self_play.temperature_moves = 3;
-  sc.self_play.augment = true;
-  MatchService service(sc, game, {.evaluator = &eval});
+  testutil::SyncLane lane(eval, /*streams=*/2);
+  ServiceWorkload w = testutil::one_lane_workload(game, /*slots=*/2);
+  w.engine.mcts = small_search(40);
+  w.engine.scheme = Scheme::kSerial;
+  w.engine.adapt = false;
+  w.self_play.temperature_moves = 3;
+  w.self_play.augment = true;
+  MatchService service(testutil::pinned_service(/*workers=*/2), lane.pool,
+                       {w});
   const auto curve = trainer.run(service, /*episodes=*/8);
   ASSERT_EQ(curve.size(), 8u);
   for (const auto& point : curve) {
@@ -118,14 +119,14 @@ TEST(Trainer, ParallelSearchFeedsSamePipeline) {
   tc.batch_size = 8;
   Trainer trainer(net, tc, 1024);
 
-  ServiceConfig sc;
-  sc.engine.mcts = small_search(32);
-  sc.engine.scheme = Scheme::kLocalTree;
-  sc.engine.workers = 4;
-  sc.engine.adapt = false;
-  sc.slots = 2;
-  sc.workers = 2;
-  MatchService service(sc, game, {.evaluator = &eval});
+  testutil::SyncLane lane(eval, /*streams=*/2);
+  ServiceWorkload w = testutil::one_lane_workload(game, /*slots=*/2);
+  w.engine.mcts = small_search(32);
+  w.engine.scheme = Scheme::kLocalTree;
+  w.engine.workers = 4;
+  w.engine.adapt = false;
+  MatchService service(testutil::pinned_service(/*workers=*/2), lane.pool,
+                       {w});
   const auto curve = trainer.run(service, 2);
   EXPECT_EQ(curve.size(), 2u);
   EXPECT_GT(trainer.buffer().size(), 0u);
@@ -179,13 +180,13 @@ TEST(Checkpointing, TrainedNetSurvivesSaveLoadWithSameSearchBehaviour) {
     tc.sgd_iters_per_move = 2;
     tc.batch_size = 8;
     Trainer trainer(net, tc, 512);
-    ServiceConfig sc;
-    sc.engine.mcts = small_search(24);
-    sc.engine.scheme = Scheme::kSerial;
-    sc.engine.adapt = false;
-    sc.slots = 2;
-    sc.workers = 2;
-    MatchService service(sc, game, {.evaluator = &eval});
+    testutil::SyncLane lane(eval, /*streams=*/2);
+    ServiceWorkload w = testutil::one_lane_workload(game, /*slots=*/2);
+    w.engine.mcts = small_search(24);
+    w.engine.scheme = Scheme::kSerial;
+    w.engine.adapt = false;
+    MatchService service(testutil::pinned_service(/*workers=*/2), lane.pool,
+                         {w});
     trainer.run(service, 2);
   }
 

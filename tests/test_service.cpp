@@ -1,11 +1,12 @@
-// MatchService tests: K concurrent games over one shared AsyncBatchEvaluator
-// complete and aggregate correctly; per-game results are independent of the
-// worker count (fixed seeds); cross-game batch formation beats the starved
-// single-game producer at the same threshold (the ISSUE-3 acceptance
-// criterion); shutdown mid-game leaves no stuck threads. Plus the
-// multi-producer AsyncBatchEvaluator extensions the service relies on:
-// per-submitter tagging, the batch-fill histogram, and the re-flushing
-// drain() that wakes blocked submitters.
+// MatchService tests: K concurrent games over one pool lane's shared
+// AsyncBatchEvaluator complete and aggregate correctly; per-game results are
+// independent of the worker count (fixed seeds); cross-game batch formation
+// beats the starved single-game producer at the same threshold; shutdown
+// mid-game leaves no stuck threads; a threshold-1 lane over a real net
+// replays the synchronous engine's games exactly. Plus the multi-producer
+// AsyncBatchEvaluator extensions the service relies on: per-submitter
+// tagging, the batch-fill histogram, and the re-flushing drain() that wakes
+// blocked submitters.
 //
 // This binary runs under ThreadSanitizer in CI (alongside test_eval and
 // test_local_tree_stress).
@@ -15,43 +16,53 @@
 #include <thread>
 
 #include "eval/gpu_model.hpp"
+#include "eval/net_evaluator.hpp"
 #include "games/gomoku.hpp"
 #include "serve/match_service.hpp"
+#include "service_test_util.hpp"
 
 namespace apm {
 namespace {
 
+using testutil::one_lane_workload;
+using testutil::pinned_service;
+
 // Deterministic results (hash of the input state), zero compute: per-game
-// move sequences depend only on seeds, never on batch composition.
+// move sequences depend only on seeds, never on batch composition. `queue`
+// is the one-lane pool's uncached lane queue.
 struct BatchRig {
   BatchRig(const Game& g, int threshold, int streams, double stale_us,
            double latency_us = 0.0)
       : eval(g.action_count(), g.encode_size(), latency_us),
         backend(eval, GpuTimingModel{}),
-        queue(backend, threshold, streams, stale_us) {}
+        queue(pool.queue(pool.add_model({.name = "net",
+                                         .backend = &backend,
+                                         .batch_threshold = threshold,
+                                         .num_streams = streams,
+                                         .stale_flush_us = stale_us,
+                                         .cache = false}))) {}
 
   SyntheticEvaluator eval;
   SimGpuBackend backend;
-  AsyncBatchEvaluator queue;
+  EvaluatorPool pool;
+  AsyncBatchEvaluator& queue;
 };
 
-ServiceConfig serial_service(int playouts, int slots, int workers) {
-  ServiceConfig sc;
-  sc.engine.mcts.num_playouts = playouts;
-  sc.engine.scheme = Scheme::kSerial;
-  sc.engine.adapt = false;
-  sc.slots = slots;
-  sc.workers = workers;
-  return sc;
+ServiceWorkload serial_workload(const Game& game, int playouts, int slots) {
+  ServiceWorkload w = one_lane_workload(game, slots);
+  w.engine.mcts.num_playouts = playouts;
+  w.engine.scheme = Scheme::kSerial;
+  w.engine.adapt = false;
+  return w;
 }
 
 TEST(MatchService, ConcurrentGamesCompleteOnSharedBatchQueue) {
   const Gomoku game = make_tictactoe();
   BatchRig rig(game, /*threshold=*/3, /*streams=*/2, /*stale_us=*/300.0);
 
-  MatchService service(serial_service(/*playouts=*/24, /*slots=*/4,
-                                      /*workers=*/4),
-                       game, {.batch = &rig.queue});
+  MatchService service(pinned_service(/*workers=*/4), rig.pool,
+                       {serial_workload(game, /*playouts=*/24,
+                                        /*slots=*/4)});
   service.enqueue(8);
   service.start();
   service.drain();
@@ -100,9 +111,9 @@ TEST(MatchService, ResultsIndependentOfWorkerCount) {
 
   const auto play = [&](int workers) {
     BatchRig rig(game, /*threshold=*/3, /*streams=*/1, /*stale_us=*/200.0);
-    MatchService service(serial_service(/*playouts=*/20, /*slots=*/3,
-                                        workers),
-                         game, {.batch = &rig.queue});
+    MatchService service(pinned_service(workers), rig.pool,
+                         {serial_workload(game, /*playouts=*/20,
+                                          /*slots=*/3)});
     service.enqueue(6);
     service.start();
     service.drain();
@@ -137,9 +148,9 @@ TEST(MatchService, CrossGameBatchFillBeatsSingleGame) {
 
   const auto mean_fill = [&](int concurrent_games) {
     BatchRig rig(game, /*threshold=*/4, /*streams=*/1, /*stale_us=*/2000.0);
-    MatchService service(serial_service(/*playouts=*/48, concurrent_games,
-                                        concurrent_games),
-                         game, {.batch = &rig.queue});
+    MatchService service(pinned_service(concurrent_games), rig.pool,
+                         {serial_workload(game, /*playouts=*/48,
+                                          concurrent_games)});
     service.enqueue(concurrent_games);
     service.start();
     service.drain();
@@ -164,9 +175,9 @@ TEST(MatchService, StopMidGameLeavesNoStuckThreads) {
   BatchRig rig(game, /*threshold=*/4, /*streams=*/1, /*stale_us=*/200.0,
                /*latency_us=*/50.0);
 
-  MatchService service(serial_service(/*playouts=*/400, /*slots=*/2,
-                                      /*workers=*/2),
-                       game, {.batch = &rig.queue});
+  MatchService service(pinned_service(/*workers=*/2), rig.pool,
+                       {serial_workload(game, /*playouts=*/400,
+                                        /*slots=*/2)});
   service.enqueue(4);
   service.start();
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -186,6 +197,53 @@ TEST(MatchService, StopMidGameLeavesNoStuckThreads) {
   rig.queue.drain();
   const BatchQueueStats qs = rig.queue.stats();
   EXPECT_GT(qs.submitted, 0u);
+}
+
+TEST(MatchService, OneLanePoolReplaysSynchronousEngineEpisodes) {
+  // The service's only path — a pool lane over CpuBackend(NetEvaluator) at
+  // threshold 1 — must play exactly the games a SearchEngine over the
+  // synchronous NetEvaluator plays with the same per-game seeds: batched
+  // and single-position inference agree bit for bit, so routing through
+  // the lane queue changes no result.
+  const Gomoku game = make_tictactoe();
+  PolicyValueNet net(NetConfig::tiny(3), 7);
+  NetEvaluator eval(net);
+  testutil::SyncLane lane(eval, /*streams=*/2);
+
+  ServiceWorkload w = serial_workload(game, /*playouts=*/32, /*slots=*/2);
+  w.engine.mcts.root_noise = true;
+  w.self_play.temperature_moves = 3;
+  const ServiceConfig sc = pinned_service(/*workers=*/2);
+  MatchService service(sc, lane.pool, {w});
+  service.enqueue(2);
+  service.start();
+  service.drain();
+  const std::vector<GameRecord> records = service.take_completed();
+  service.stop();
+  ASSERT_EQ(records.size(), 2u);
+
+  for (int g = 0; g < 2; ++g) {
+    // The service's per-game seed derivation, applied by hand.
+    EngineConfig ec = w.engine;
+    ec.mcts.seed += static_cast<std::uint64_t>(g) * sc.engine_seed_stride;
+    SelfPlayConfig sp = w.self_play;
+    sp.seed += static_cast<std::uint64_t>(g) * sc.game_seed_stride;
+    SearchEngine engine(ec, {.evaluator = &eval});
+    ReplayBuffer buffer(256);
+    const EpisodeStats ref = run_self_play_episode(game, engine, buffer, sp);
+
+    const GameRecord& rec = records[static_cast<std::size_t>(g)];
+    ASSERT_EQ(rec.game_id, g);
+    EXPECT_TRUE(rec.completed);
+    EXPECT_EQ(rec.stats.winner, ref.winner) << "game " << g;
+    EXPECT_EQ(rec.stats.moves, ref.moves) << "game " << g;
+    ASSERT_EQ(rec.samples.size(), buffer.size()) << "game " << g;
+    for (std::size_t i = 0; i < buffer.size(); ++i) {
+      EXPECT_EQ(rec.samples[i].state, buffer.at(i).state) << "game " << g;
+      EXPECT_EQ(rec.samples[i].pi, buffer.at(i).pi) << "game " << g;
+      EXPECT_EQ(rec.samples[i].z, buffer.at(i).z) << "game " << g;
+    }
+  }
 }
 
 TEST(AsyncBatch, DrainFlushesPartialBatchFromBlockedSubmitter) {

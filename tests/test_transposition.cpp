@@ -1,7 +1,7 @@
 // Transposition-table tests (ISSUE 7): unit behaviour of the bucketed TT
 // (round trips, announce/pending coalescing, merge folding, replacement
 // scoring, generation aging, inflight pinning), graft-vs-cold-start search
-// equivalence on Connect4 under GraftMode::kPriors, driver coverage for the
+// equivalence on Connect4, driver coverage for the
 // LocalTree batched-probe path, a SharedTree contended stress run over a
 // deliberately tiny table (the TSan target), and the SearchEngine glue:
 // archive-on-advance, epoch/generation lockstep, background-compaction
@@ -240,9 +240,9 @@ TEST(TtGraft, PriorsGraftIsBitwiseEquivalentToColdStart) {
   EXPECT_EQ(r1.best_action, r_cold.best_action);
   EXPECT_GT(r1.metrics.tt_stores, 0u);
 
-  // Second pass over a cold tree but a hot table: under kPriors every
-  // graft reproduces exactly what the evaluator would have produced, so
-  // the search is bitwise-identical while skipping the backend entirely.
+  // Second pass over a cold tree but a hot table: every graft reproduces
+  // exactly what the evaluator would have produced, so the search is
+  // bitwise-identical while skipping the backend entirely.
   auto warm2 = make_search(Scheme::kSerial, cfg, 1,
                            {.evaluator = &eval, .tt = &tt});
   const SearchResult r2 = warm2->search(g);
