@@ -18,11 +18,12 @@
 // the same winner and move count whether the cache is on or off, while the
 // backend performs strictly fewer evaluations.
 //
-// ISSUE 9 adds the lane-shared TT rows: the same K-game pool-mode service
-// run twice — each engine owning a PRIVATE table vs all K games grafting
-// from one lane-owned SHARED table (eval cache off in both, so the delta
-// is transposition memory's alone). Both runs must replay identical games
-// while the shared run performs fewer backend evaluations at K >= 4
+// The lane-shared TT rows compare 2K games with all K concurrent
+// games grafting from one lane-owned SHARED table, against a PRIVATE
+// baseline that replays each game alone on a SearchEngine over its own
+// fresh table with the service's per-game seeds (eval cache off in both,
+// so the delta is transposition memory's alone). Both must play identical
+// games while the shared run performs fewer backend evaluations at K >= 4
 // (cross-game residency: one game's expansion is every sibling's graft).
 
 #include <cstdio>
@@ -30,14 +31,17 @@
 #include <string>
 #include <vector>
 
+#include "eval/evaluator.hpp"
 #include "eval/gpu_model.hpp"
 #include "games/connect4.hpp"
 #include "games/gomoku.hpp"
 #include "games/othello.hpp"
 #include "mcts/engine.hpp"
+#include "mcts/transposition.hpp"
 #include "serve/match_service.hpp"
 #include "support/table.hpp"
 #include "support/timer.hpp"
+#include "train/self_play.hpp"
 
 namespace {
 
@@ -127,10 +131,11 @@ TtRunResult run_tt_game(const Game& game, int playouts, bool tt_on) {
   ec.mcts.seed = 17;
   ec.scheme = Scheme::kSerial;
   ec.adapt = false;
-  ec.tt.enabled = tt_on;
-  ec.tt.capacity = 1 << 15;
-  ec.tt.max_edges = 64;
-  SearchEngine engine(ec, {.evaluator = &eval});
+  TtConfig tc;
+  tc.capacity = 1 << 15;
+  tc.max_edges = 64;
+  TranspositionTable tt(tc);
+  SearchEngine engine(ec, {.evaluator = &eval, .tt = tt_on ? &tt : nullptr});
 
   TtRunResult r;
   std::unique_ptr<Game> env = game.clone();
@@ -150,20 +155,30 @@ TtRunResult run_tt_game(const Game& game, int playouts, bool tt_on) {
   return r;
 }
 
-// Plays 2·K games on K pool-mode slots, eval cache OFF; `shared` hands all
-// K games one lane-owned TT, otherwise each engine keeps a private table of
-// the same size. Identical engine templates and seeds either way, and a
-// graft installs exactly what a cold expansion would, so the two runs must
-// produce identical games.
-RunResult run_lane_tt_service(const Game& game, int concurrent_games,
-                              bool shared) {
-  SyntheticEvaluator eval(game.action_count(), game.encode_size());
-  SimGpuBackend backend(eval, GpuTimingModel{}, /*emulate_wall_time=*/true);
-
+TtConfig lane_tt_config() {
   TtConfig tt;
   tt.enabled = true;
   tt.capacity = 1 << 15;
   tt.max_edges = 64;
+  return tt;
+}
+
+ServiceWorkload lane_tt_workload(const Game& game, int concurrent_games) {
+  ServiceWorkload w;
+  w.proto = std::shared_ptr<const Game>(game.clone());
+  w.model = "net";
+  w.slots = concurrent_games;
+  w.engine.mcts.num_playouts = 64;
+  w.engine.scheme = Scheme::kSerial;
+  w.engine.adapt = false;
+  return w;
+}
+
+// Plays 2·K games on K pool-mode slots, eval cache OFF, all K games
+// grafting from the lane's one shared TT.
+RunResult run_shared_tt_service(const Game& game, int concurrent_games) {
+  SyntheticEvaluator eval(game.action_count(), game.encode_size());
+  SimGpuBackend backend(eval, GpuTimingModel{}, /*emulate_wall_time=*/true);
 
   EvaluatorPool pool;
   ModelSpec spec;
@@ -173,23 +188,14 @@ RunResult run_lane_tt_service(const Game& game, int concurrent_games,
   spec.num_streams = 2;
   spec.stale_flush_us = 1500.0;
   spec.cache = false;  // the delta must be transposition memory's alone
-  if (shared) spec.tt = tt;
+  spec.tt = lane_tt_config();
   pool.add_model(spec);
-
-  ServiceWorkload w;
-  w.proto = std::shared_ptr<const Game>(game.clone());
-  w.model = "net";
-  w.slots = concurrent_games;
-  w.engine.mcts.num_playouts = 64;
-  w.engine.scheme = Scheme::kSerial;
-  w.engine.adapt = false;
-  if (!shared) w.engine.tt = tt;  // per-engine private tables instead
 
   ServiceConfig sc;
   sc.workers = 8;
 
   RunResult r;
-  MatchService service(sc, pool, {std::move(w)});
+  MatchService service(sc, pool, {lane_tt_workload(game, concurrent_games)});
   service.enqueue(2 * concurrent_games);
   service.start();
   service.drain();
@@ -199,6 +205,56 @@ RunResult run_lane_tt_service(const Game& game, int concurrent_games,
     r.moves.push_back(rec.stats.moves);
   }
   service.stop();
+  return r;
+}
+
+// Counts the positions a synchronous engine sends to the backend.
+class CountingEvaluator final : public Evaluator {
+ public:
+  explicit CountingEvaluator(Evaluator& inner) : inner_(inner) {}
+  int action_count() const override { return inner_.action_count(); }
+  std::size_t input_size() const override { return inner_.input_size(); }
+  void evaluate(const float* input, EvalOutput& out) override {
+    ++calls;
+    inner_.evaluate(input, out);
+  }
+  std::int64_t calls = 0;
+
+ private:
+  Evaluator& inner_;
+};
+
+// The private-table baseline: each of the service's 2·K games replayed
+// alone on a SearchEngine over its own fresh table, with the per-game
+// seeds the service derives. A lane replays synchronous engine episodes
+// exactly, as MatchService.OneLanePoolReplaysSynchronousEngineEpisodes
+// pins. Only the count fields of `stats` are filled.
+RunResult run_private_tt_games(const Game& game, int concurrent_games) {
+  SyntheticEvaluator eval(game.action_count(), game.encode_size());
+  CountingEvaluator counted(eval);
+  const ServiceWorkload w = lane_tt_workload(game, concurrent_games);
+  const ServiceConfig sc;
+
+  RunResult r;
+  for (int g = 0; g < 2 * concurrent_games; ++g) {
+    EngineConfig ec = w.engine;
+    ec.mcts.seed += static_cast<std::uint64_t>(g) * sc.engine_seed_stride;
+    SelfPlayConfig sp = w.self_play;
+    sp.seed += static_cast<std::uint64_t>(g) * sc.game_seed_stride;
+    TranspositionTable tt(lane_tt_config());
+    SearchEngine engine(ec, {.evaluator = &counted, .tt = &tt});
+    ReplayBuffer buffer(1024);
+    const EpisodeStats ep = run_self_play_episode(game, engine, buffer, sp);
+    r.winners.push_back(ep.winner);
+    r.moves.push_back(ep.moves);
+    r.stats.eval_requests += static_cast<std::size_t>(ep.eval_requests);
+    r.stats.tt_grafts += static_cast<std::size_t>(ep.tt_grafts);
+  }
+  r.stats.batch.submitted = static_cast<std::size_t>(counted.calls);
+  const double demand =
+      static_cast<double>(r.stats.tt_grafts + r.stats.eval_requests);
+  r.stats.tt_graft_rate =
+      demand > 0 ? static_cast<double>(r.stats.tt_grafts) / demand : 0.0;
   return r;
 }
 
@@ -343,8 +399,8 @@ int main(int argc, char** argv) {
   bool shared_identical = true;
   bool shared_fewer = true;  // gated at K >= 4 (cross-game residency win)
   for (const int k : {2, 4, 8}) {
-    const RunResult priv = run_lane_tt_service(game, k, /*shared=*/false);
-    const RunResult shrd = run_lane_tt_service(game, k, /*shared=*/true);
+    const RunResult priv = run_private_tt_games(game, k);
+    const RunResult shrd = run_shared_tt_service(game, k);
     // Grafts install exactly what a cold expansion would have, so
     // sharing the table across games must not move a single result.
     shared_identical = shared_identical && shrd.winners == priv.winners &&
@@ -363,7 +419,8 @@ int main(int argc, char** argv) {
                       std::to_string(r->stats.batch.submitted),
                       std::to_string(r->stats.tt_grafts),
                       Table::fmt(r->stats.tt_graft_rate, 3),
-                      Table::fmt(r->stats.evals_per_second, 0)});
+                      is_shared ? Table::fmt(r->stats.evals_per_second, 0)
+                                : "-"});
       const std::string suffix =
           "_k" + std::to_string(k) + (is_shared ? "_shared" : "_private");
       json.entry("shared_tt_backend_evals" + suffix,
@@ -372,13 +429,16 @@ int main(int argc, char** argv) {
                  static_cast<double>(r->stats.tt_grafts), "grafts");
       json.entry("shared_tt_graft_rate" + suffix, r->stats.tt_graft_rate,
                  "fraction");
-      json.entry("shared_tt_evals_per_s" + suffix, r->stats.evals_per_second,
-                 "evals/s");
+      // The private replay is synchronous: it has no served throughput.
+      if (is_shared) {
+        json.entry("shared_tt_evals_per_s" + suffix,
+                   r->stats.evals_per_second, "evals/s");
+      }
     }
   }
   stable.print(
-      "lane-shared vs per-engine private TT: 2K games on K slots, "
-      "no eval cache");
+      "lane-shared TT (2K games on K slots) vs each game alone on a "
+      "private TT, no eval cache");
 
   json.entry("shared_tt_results_identical", shared_identical ? 1.0 : 0.0,
              "bool");

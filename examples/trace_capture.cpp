@@ -96,8 +96,8 @@ int main(int argc, char** argv) {
     w.engine.mcts.root_noise = true;
     w.engine.scheme = apm::Scheme::kSerial;
     w.engine.adapt = false;
-    // No w.engine.tt: slots graft from their lane's shared table instead
-    // (tt_graft instants now tagged with the lane name).
+    // Slots graft from their lane's shared table (tt_graft instants are
+    // tagged with the lane name).
     w.engine.background_compaction = background_compaction;
     return w;
   };

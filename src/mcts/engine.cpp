@@ -50,19 +50,6 @@ SearchEngine::SearchEngine(EngineConfig cfg, SearchResources res)
                   cfg_.workers, cfg_.batch_threshold) {
   APM_CHECK_MSG(res_.evaluator != nullptr || res_.batch != nullptr,
                 "SearchEngine: no evaluation resource provided");
-  if (res_.tt != nullptr) {
-    // Externally owned lane-shared table (EvaluatorPool via MatchService):
-    // shared mode wins over the template's cfg.tt — the engine builds no
-    // private table, never clears the shared one, and only ever advances
-    // its generation monotonically (other engines' live entries sit above
-    // this engine's private epoch).
-    res_.tt_shared = true;
-  } else if (cfg_.tt.enabled) {
-    tt_ = std::make_unique<TranspositionTable>(cfg_.tt);
-    tt_->set_generation(tree_.epoch());
-    res_.tt = tt_.get();
-    res_.tt_shared = false;
-  }
   rebuild_driver(cfg_.scheme, cfg_.workers, cfg_.batch_threshold);
   if (cfg_.background_compaction) {
     compactor_ = std::thread([this] { compactor_loop(); });
@@ -87,15 +74,14 @@ void SearchEngine::wait_compaction() {
 }
 
 SearchTree::NodeArchiver SearchEngine::make_archiver() {
-  // res_.tt is the active table in both modes (private: set in the ctor;
-  // shared: supplied by the lane owner). Archiving into a SHARED table is
-  // the cross-game graft path: the subtree this game discards on
-  // advance_root() re-enters every sibling game's searches warm.
+  // The subtree this game discards on advance_root() re-enters later
+  // moves warm — and, on a lane's table, every sibling game's searches
+  // (the cross-game graft path).
   if (res_.tt == nullptr) return {};
   return [this](NodeId id) {
     const Node& n = tree_.node(id);
-    // Only fully expanded nodes with a recorded position memo carry
-    // archivable statistics. The root's priors are Dirichlet-noised during
+    // Only fully expanded nodes with a recorded position memo are
+    // archivable. The root's priors are Dirichlet-noised during
     // self-play — never fold those into the table.
     if (n.hash == 0 || n.num_edges <= 0 ||
         n.state.load(std::memory_order_acquire) != ExpandState::kExpanded) {
@@ -109,29 +95,23 @@ SearchTree::NodeArchiver SearchEngine::make_archiver() {
       heap.resize(static_cast<std::size_t>(n.num_edges));
       out = heap.data();
     }
+    // The node's visit total weighs the entry against replacement.
+    std::int64_t visits = 0;
     for (std::int32_t i = 0; i < n.num_edges; ++i) {
       const Edge& e = tree_.edge(n.first_edge + i);
       out[i].action = e.action;
       out[i].prior = e.prior;
-      out[i].visits = e.visits.load(std::memory_order_relaxed);
-      out[i].value_sum =
-          static_cast<double>(e.value_sum.load(std::memory_order_relaxed));
+      visits += e.visits.load(std::memory_order_relaxed);
     }
-    res_.tt->store(n.hash, n.value, /*depth=*/0, out, n.num_edges,
+    res_.tt->store(n.hash, n.value, /*depth=*/0, out, n.num_edges, visits,
                    /*release_inflight=*/false);
   };
 }
 
 void SearchEngine::advance_tt_clock() {
-  if (res_.tt == nullptr) return;
-  if (res_.tt_shared) {
-    // Lane-level monotonic move counter: every attached engine ticks the
-    // shared clock forward on its own move/reset boundary; nobody ever
-    // writes an absolute epoch into it.
-    res_.tt->bump_generation();
-  } else {
-    res_.tt->set_generation(tree_.epoch());
-  }
+  // One tick per epoch of this engine's tree; the table may serve other
+  // engines' games too, so nobody ever writes an absolute epoch into it.
+  if (res_.tt != nullptr) res_.tt->bump_generation();
 }
 
 void SearchEngine::run_advance(int action) {
@@ -316,12 +296,6 @@ void SearchEngine::advance(int action) {
 void SearchEngine::reset_game() {
   wait_compaction();
   tree_.reset();
-  if (tt_ != nullptr && !cfg_.tt_keep_across_games) {
-    // Private table only: a lane-shared table's entries belong to the
-    // whole lane (cross-game carry-over is its point) and its lifecycle —
-    // clearing on weight updates — is owned by EvaluatorPool::invalidate.
-    tt_->clear();
-  }
   advance_tt_clock();
   pending_reuse_ = false;
   reusable_visits_ = 0;

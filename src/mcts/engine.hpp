@@ -17,7 +17,7 @@
 //    AsyncBatchEvaluator threshold in place.
 //
 // Typical use (see examples/adaptive_config.cpp):
-//   SearchEngine engine(cfg, {.evaluator = &eval});
+//   SearchEngine engine(cfg, {.evaluator = &eval});  // .tt = &table: TT
 //   while (!env->is_terminal()) {
 //     SearchResult r = engine.search(*env);   // one move
 //     env->apply(r.best_action);
@@ -65,17 +65,6 @@ struct EngineConfig {
   // fine (the first observed move dominates via EWMA warmup).
   ProfiledCosts seed_costs;
 
-  // Transposition table (tt.enabled builds one, owned by the engine and
-  // attached to every driver). Its generation stamp tracks the tree's
-  // compaction epoch; advance_root()'s archive pass folds discarded
-  // subtrees back into it. Ignored when the caller supplies a lane-shared
-  // table via SearchResources::tt — shared residency wins, and the lane
-  // owner (EvaluatorPool) controls sizing, graft mode and clearing.
-  TtConfig tt;
-  // Keep TT entries across reset_game(): position memos are pure function
-  // of the (deterministic) evaluator, so cross-game carry-over is sound —
-  // off by default to keep games statistically independent.
-  bool tt_keep_across_games = false;
   // Run advance_root() compaction (and the TT archive pass) on a
   // background thread so huge reused trees stop taxing move latency; the
   // next search()/advance()/reset_game() joins on it.
@@ -127,7 +116,10 @@ class SearchEngine {
   void advance(int action);
 
   // Discards the tree for a fresh game. Controller state (live costs,
-  // dwell) intentionally survives — hardware does not change between games.
+  // dwell) intentionally survives — hardware does not change between games
+  // — and so does the transposition table's content: its memos are a pure
+  // function of the (deterministic) evaluator, and clearing it is its
+  // owner's call (EvaluatorPool::invalidate on a weight change).
   void reset_game();
 
   Scheme scheme() const { return driver_->scheme(); }
@@ -140,13 +132,11 @@ class SearchEngine {
   const std::vector<EngineMoveStats>& move_log() const { return log_; }
   SearchTree& tree() { return tree_; }
   const AdaptiveController& controller() const { return controller_; }
-  // The active transposition table: the engine-private one when
-  // cfg.tt.enabled, the externally supplied lane-shared one when the
-  // caller set SearchResources::tt (which wins over cfg.tt), nullptr
-  // otherwise.
+  // The caller-owned table from SearchResources::tt (nullptr: no TT). It
+  // is attached to every driver; advance_root()'s archive pass stores
+  // discarded subtrees into it, and every move/reset boundary bumps its
+  // clock once.
   TranspositionTable* transposition() { return res_.tt; }
-  // true when the active table is lane-shared (externally owned).
-  bool transposition_shared() const { return res_.tt_shared; }
   // Blocks until a pending background compaction (if any) has finished —
   // search()/advance()/reset_game() call this implicitly; tests and stats
   // readers can call it directly before touching the tree.
@@ -164,10 +154,7 @@ class SearchEngine {
   // The advance_root + TT-generation + reuse-crediting step, runnable
   // either inline or on the compactor thread.
   void run_advance(int action);
-  // Advances the active table's replacement clock at a move/reset
-  // boundary: epoch lockstep for a private table, a monotonic bump for a
-  // lane-shared one (which serves other engines' games concurrently and
-  // must never be rewound to this engine's epoch).
+  // Ticks the table's clock at a move/reset boundary (no-op without one).
   void advance_tt_clock();
   SearchTree::NodeArchiver make_archiver();
   void compactor_loop();
@@ -175,7 +162,6 @@ class SearchEngine {
   EngineConfig cfg_;
   SearchResources res_;
   SearchTree tree_;
-  std::unique_ptr<TranspositionTable> tt_;
   AdaptiveController controller_;
   std::unique_ptr<MctsSearch> driver_;
   std::function<ProfiledCosts(int)> cost_feed_;

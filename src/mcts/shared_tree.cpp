@@ -134,7 +134,6 @@ void SharedTreeMcts::worker_loop(const Game& env,
           obs::emit_instant("tt_graft", "mcts",
                             {{"edges", tt_scratch.edges.size()},
                              {"depth", tt_scratch.depth},
-                             {"visits", tt_scratch.visits},
                              {"lane", tt_->label()}});
         } else {
           announced = tt_->announce(key);

@@ -60,19 +60,11 @@ TtProbeResult TranspositionTable::probe(std::uint64_t key, TtView& out) {
       }
       return TtProbeResult::kMiss;
     }
-    const std::uint32_t now = generation();
-    if (cfg_.max_age > 0 && now >= e.generation &&
-        now - e.generation > static_cast<std::uint32_t>(cfg_.max_age)) {
-      return TtProbeResult::kMiss;  // aged out; stays evictable in place
-    }
     out.value = e.value;
     out.depth = e.depth;
-    out.inflight = e.inflight;
-    out.visits = e.visits;
-    out.generation = e.generation;
     out.edges.assign(slab(base + static_cast<std::size_t>(w)),
                      slab(base + static_cast<std::size_t>(w)) + e.num_edges);
-    e.generation = now;  // refresh: a grafted entry is a live one
+    e.generation = generation();  // refresh: a grafted entry is a live one
     hits_.fetch_add(1, std::memory_order_relaxed);
     return TtProbeResult::kHit;
   }
@@ -104,7 +96,8 @@ bool TranspositionTable::announce(std::uint64_t key) {
 
 void TranspositionTable::store(std::uint64_t key, float value,
                                std::int32_t depth, const TtEdge* edges,
-                               std::int32_t count, bool release_inflight) {
+                               std::int32_t count, std::int64_t visits,
+                               bool release_inflight) {
   if (key == 0) return;
   const std::size_t b = bucket_of(key);
   std::lock_guard guard(bucket_locks_[b]);
@@ -153,13 +146,11 @@ void TranspositionTable::store(std::uint64_t key, float value,
     return;
   }
 
-  std::int64_t incoming_visits = 0;
-  for (std::int32_t i = 0; i < count; ++i) incoming_visits += edges[i].visits;
-
   if (match != nullptr) {
     if (match->num_edges == count) {
-      // Same position stored twice: fold the visit mass, keep the memo
-      // (deterministic evaluator ⇒ priors/value are identical anyway).
+      // Same position stored twice: add the visit mass to the entry's
+      // replacement weight, keep the memo (deterministic evaluator ⇒
+      // priors/value are identical anyway).
       bool same_actions = true;
       TtEdge* stored = slab(match_idx);
       for (std::int32_t i = 0; i < count; ++i) {
@@ -169,11 +160,7 @@ void TranspositionTable::store(std::uint64_t key, float value,
         }
       }
       if (same_actions) {
-        for (std::int32_t i = 0; i < count; ++i) {
-          stored[i].visits += edges[i].visits;
-          stored[i].value_sum += edges[i].value_sum;
-        }
-        match->visits += incoming_visits;
+        match->visits += visits;
         match->depth = std::min(match->depth, depth);
         match->generation = generation();
         merges_.fetch_add(1, std::memory_order_relaxed);
@@ -194,7 +181,7 @@ void TranspositionTable::store(std::uint64_t key, float value,
     match->inflight = keep_inflight;
     match->value = value;
     match->depth = depth;
-    match->visits = incoming_visits;
+    match->visits = visits;
     match->num_edges = count;
     match->generation = generation();
     std::copy(edges, edges + count, slab(match_idx));
@@ -205,7 +192,7 @@ void TranspositionTable::store(std::uint64_t key, float value,
   std::size_t target_idx = empty_idx;
   if (target == nullptr) {
     if (victim == nullptr ||
-        victim_score >= retain_score_for_new(incoming_visits, depth)) {
+        victim_score >= retain_score_for_new(visits, depth)) {
       dropped_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
@@ -219,7 +206,7 @@ void TranspositionTable::store(std::uint64_t key, float value,
   target->key = key;
   target->value = value;
   target->depth = depth;
-  target->visits = incoming_visits;
+  target->visits = visits;
   target->num_edges = count;
   target->generation = generation();
   std::copy(edges, edges + count, slab(target_idx));
@@ -275,7 +262,6 @@ TtProbeResult tt_probe_and_graft(TranspositionTable* tt, InTreeOps& ops,
     obs::emit_instant("tt_graft", "mcts",
                       {{"edges", scratch.edges.size()},
                        {"depth", scratch.depth},
-                       {"visits", scratch.visits},
                        {"lane", tt->label()}});
     return r;
   }
@@ -291,7 +277,8 @@ void tt_store_expansion(TranspositionTable* tt, SearchTree& tree, NodeId node,
   const std::int32_t count = n.num_edges;
   if (count > tt->config().max_edges || count <= 0) {
     // Let store() release the announce mark and count the skip.
-    tt->store(key, value, depth, nullptr, count, release_inflight);
+    tt->store(key, value, depth, nullptr, count, /*visits=*/0,
+              release_inflight);
     return;
   }
   TtEdge edges[64];
@@ -305,10 +292,8 @@ void tt_store_expansion(TranspositionTable* tt, SearchTree& tree, NodeId node,
     const Edge& e = tree.edge(n.first_edge + i);
     out[i].action = e.action;
     out[i].prior = e.prior;
-    out[i].visits = 0;  // fresh expansion: the archive pass folds real mass
-    out[i].value_sum = 0.0;
   }
-  tt->store(key, value, depth, out, count, release_inflight);
+  tt->store(key, value, depth, out, count, /*visits=*/0, release_inflight);
 }
 
 }  // namespace apm

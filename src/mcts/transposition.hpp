@@ -18,17 +18,22 @@
 // in-flight coalescing one layer up.
 //
 // Structure: `capacity` entries in buckets of `ways`, indexed by the high
-// key bits, each entry owning a fixed slab of `max_edges` edge stats. One
-// spinlock per bucket serialises probe/store/announce within a bucket (a
-// handful of words each), which keeps the SharedTree scheme's contended
-// probes race-free without per-field atomics. Replacement is
-// generation-stamped and depth/visit-weighted: the owner advances
-// `generation` alongside the tree's compaction epoch, and a victim is the
-// way with the lowest visit mass decayed by generation age — stale moves'
-// memos fade without ever rehashing live ones. Entries are pure memos
-// (deterministic evaluator ⇒ a stored position is never wrong), so
-// generations drive *replacement priority*, not correctness invalidation;
-// `clear()` is for weight changes.
+// key bits, each entry owning a fixed slab of `max_edges` (action, prior)
+// pairs — exactly what a graft installs, nothing more. One spinlock per
+// bucket serialises probe/store/announce within a bucket (a handful of
+// words each), which keeps the SharedTree scheme's contended probes
+// race-free without per-field atomics. Replacement is generation-stamped
+// and depth/visit-weighted: every attached engine bumps the table's one
+// monotonic clock at its move/reset boundaries, and a victim is the way
+// with the lowest visit mass (the archive pass's per-node total) decayed
+// by generation age — stale moves' memos fade without ever rehashing live
+// ones. Entries are pure memos (deterministic evaluator ⇒ a stored
+// position is never wrong), so generations drive *replacement priority*,
+// not correctness invalidation; `clear()` is for weight changes.
+//
+// Ownership: a table is always caller-owned — an EvaluatorPool lane's for
+// MatchService games, or whoever builds a standalone SearchEngine /
+// MctsSearch and passes it in SearchResources::tt. Engines never clear it.
 
 #include <atomic>
 #include <cstdint>
@@ -44,7 +49,7 @@ namespace apm {
 class InTreeOps;
 
 struct TtConfig {
-  bool enabled = false;  // engines build a TT only when set
+  bool enabled = false;  // pool lanes build a TT only when set
   // Entry count (rounded up to a whole number of buckets).
   std::size_t capacity = 8192;
   int ways = 4;  // bucket associativity
@@ -52,36 +57,28 @@ struct TtConfig {
   // per-entry slab; covers Connect4/Othello fanouts by default while
   // skipping Gomoku openings).
   int max_edges = 40;
-  // > 0: probe treats entries older than this many generations as misses.
-  // 0 (default): memos never age out — replacement pressure alone recycles
-  // them.
-  int max_age = 0;
   // Label carried by the table's trace instants (tt_graft / tt_pending) —
-  // the lane name for a pool-owned shared table, empty = "engine" for an
-  // engine-private one. Interned at construction (trace events borrow
-  // static pointers).
+  // the lane name for a pool-owned table, empty = "engine" for a
+  // standalone one. Interned at construction (trace events borrow static
+  // pointers).
   std::string name;
 };
 
 enum class TtProbeResult { kMiss, kHit, kPending };
 
-// One stored edge: prior at expansion plus the visit mass folded back by
-// the archive pass (zero right after a store-at-expansion).
+// One stored edge: the action and its prior at expansion — the whole of
+// what a graft reads back.
 struct TtEdge {
   std::int32_t action = -1;
   float prior = 0.0f;
-  std::int64_t visits = 0;
-  double value_sum = 0.0;
 };
+static_assert(sizeof(TtEdge) == 8, "TT slab edges are (action, prior) only");
 
 // Probe output. Caller-owned so per-worker scratch avoids allocation in
 // the hot path (the edges vector is reused across probes).
 struct TtView {
-  float value = 0.0f;       // NN value memo at expansion
+  float value = 0.0f;  // NN value memo at expansion
   std::int32_t depth = 0;
-  std::int32_t inflight = 0;  // announced evaluations in flight elsewhere
-  std::int64_t visits = 0;    // Σ folded edge visits
-  std::uint32_t generation = 0;
   std::vector<TtEdge> edges;
 };
 
@@ -120,26 +117,21 @@ class TranspositionTable {
   bool announce(std::uint64_t key);
 
   // Stores (or merges into) `key`'s entry: `value` is the NN value memo,
-  // `edges` the per-action priors plus any visit mass to fold. A second
-  // store of the same position accumulates visits/value sums and keeps the
-  // existing priors/value memo. count > max_edges releases the announce
-  // mark but stores nothing. Thread-safe.
+  // `edges` the per-action priors, `visits` the node's visit total (0 at
+  // expansion; the archive pass passes the discarded node's mass). A
+  // second store of the same position keeps the existing memo and adds
+  // `visits` to the entry's replacement weight. count > max_edges releases
+  // the announce mark but stores nothing. Thread-safe.
   void store(std::uint64_t key, float value, std::int32_t depth,
-             const TtEdge* edges, std::int32_t count, bool release_inflight);
+             const TtEdge* edges, std::int32_t count, std::int64_t visits,
+             bool release_inflight);
 
-  // Generation stamp applied to new/refreshed entries; an engine-private
-  // table's owner keeps it in lockstep with SearchTree::epoch() so
-  // advance_root() reuse ages the table without rehashing.
-  void set_generation(std::uint32_t gen) {
-    generation_.store(gen, std::memory_order_release);
-  }
-  // Lane-shared alternative: no single engine's epoch can drive a shared
-  // table's clock (engine B starting a fresh game would rewind it below
-  // engine A's live entries), so shared owners advance it monotonically —
-  // one bump per committed move / reset of ANY attached engine. With K
-  // games the clock runs ~K× faster than a private table's; generations
-  // are replacement priority only, so that just makes idle memos fade
-  // proportionally faster, never wrong. Thread-safe.
+  // The table's one replacement clock, stamped on new/refreshed entries.
+  // It only moves forward: every attached engine bumps it once per
+  // committed move / reset (its tree's compaction epoch, counted on the
+  // table), so with K engines it runs ~K× faster than any one game.
+  // Generations are replacement priority only, so that just makes idle
+  // memos fade proportionally faster, never wrong. Thread-safe.
   void bump_generation() {
     generation_.fetch_add(1, std::memory_order_acq_rel);
   }
@@ -147,7 +139,7 @@ class TranspositionTable {
     return generation_.load(std::memory_order_acquire);
   }
 
-  // Drops every entry (weights changed / new game without carry-over).
+  // Drops every entry (weights changed).
   // Cumulative counters survive. Thread-safe (per-bucket locks): a
   // lane-owned clear may race other games' probes/stores. Announce marks
   // are dropped with their placeholders — a store() whose mark was cleared
@@ -218,8 +210,9 @@ TtProbeResult tt_probe_and_graft(TranspositionTable* tt, InTreeOps& ops,
                                  bool* announced);
 
 // Stores a freshly expanded node's (action, prior) list plus its NN value
-// memo under `key`. Call after expand(), before/after backup — the edge
-// priors are immutable once published. No-op when tt == nullptr (but a
+// memo under `key`, with zero visit mass. Call after expand(), before/after
+// backup — the edge priors are immutable once published. No-op when
+// tt == nullptr (but a
 // pending announce mark would then leak, so drivers only announce when a
 // table is attached).
 void tt_store_expansion(TranspositionTable* tt, SearchTree& tree, NodeId node,

@@ -26,8 +26,8 @@
 // between moves (SearchEngine::background_compaction) while the old tree
 // stays readable, and discarded nodes can be archived (e.g. folded into a
 // TranspositionTable) from stable storage. Each reset/advance bumps the
-// epoch counter, which the transposition table shares as its generation
-// stamp.
+// epoch counter; the engine ticks an attached transposition table's clock
+// once per bump.
 
 #include <atomic>
 #include <cstdint>
@@ -125,7 +125,6 @@ class SearchTree {
   bool advance_root(int action, const NodeArchiver& archive = {});
 
   // Monotonic compaction epoch: bumped by every reset()/advance_root().
-  // The transposition table's generation stamp tracks this counter.
   std::uint32_t epoch() const {
     return epoch_.load(std::memory_order_acquire);
   }

@@ -38,16 +38,15 @@
 // this lane — K concurrent games of the same net dedupe *expansions*
 // across games exactly as the lane EvalCache dedupes NN calls, one layer
 // deeper (a graft skips encode + queue + inference, not just inference).
-// Lifecycle is lane-owned: engines never clear the shared table or write
-// absolute epochs into its generation clock (they only bump it — see
-// SearchResources::tt_shared); invalidate(id) clears it with the lane's
-// cache because both memoise the lane's weights. TT entries are position
-// memos of a deterministic evaluator, so cross-game residency is sound
-// (the same argument as tt_keep_across_games, made structural), and since
-// a graft installs exactly the stored priors, per-game results remain a
-// pure function of the game seed — independent of worker count, of
-// sharing, and of which sibling game warmed the table (pinned by
-// test_shared_tt and bench/fig_cache).
+// Lifecycle is lane-owned: engines never clear the table, and they only
+// bump its one monotonic clock (once per move/reset boundary);
+// invalidate(id) clears it with the lane's cache because both memoise the
+// lane's weights. TT entries are position memos of a deterministic
+// evaluator, so cross-game residency is sound, and since a graft installs
+// exactly the stored priors and value, per-game results remain a pure
+// function of the game seed — independent of worker count, of sharing,
+// and of which sibling game warmed the table (pinned by test_shared_tt and
+// bench/fig_cache).
 //
 // Per-lane precision contract: precision is a property of the LANE, not of
 // the serving plane — declared at registration (ModelSpec::precision) and

@@ -43,8 +43,6 @@ namespace apm {
 
 // One contender: an engine template plus the evaluation resource its
 // engines submit to. Exactly one of `queue` / `evaluator` must be set.
-// Side-specific search memory (e.g. a private TT) is declared through
-// `engine.tt` like any other engine option.
 struct GateSide {
   std::string label;
   EngineConfig engine;

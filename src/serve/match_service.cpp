@@ -211,15 +211,12 @@ void MatchService::build_slot(Slot& slot) {
 
   // The lane's shared transposition memory (if declared): every engine
   // this lane seats grafts from — and stores into — the same table, so
-  // sibling games dedupe whole expansions, not just NN calls. tt_shared
-  // tells the engine to bump (never rewind) the lane's generation clock
-  // and to leave clearing to the lane owner.
-  TranspositionTable* tt = pool_.transposition(wl.model_id);
+  // sibling games dedupe whole expansions, not just NN calls. Engines
+  // only bump the lane's clock; clearing is the lane owner's.
   slot.engine.reset(new SearchEngine(
       ec, {.batch = &pool_.queue(wl.model_id),
            .batch_tag = slot.id,  // attribute lane occupancy to this slot
-           .tt = tt,
-           .tt_shared = tt != nullptr}));
+           .tt = pool_.transposition(wl.model_id)}));
   slot.runner = std::make_unique<EpisodeRunner>(*wl.spec.proto, sp);
 }
 
@@ -584,7 +581,7 @@ void MatchService::publish_metrics() {
   // table's own counters plus the service's leaf-only graft fold, keyed by
   // lane name so heterogeneous services stay disentangled.
   for (const ServiceLaneStats& ls : s.lanes) {
-    if (!ls.tt_shared) continue;
+    if (ls.tt.capacity == 0) continue;
     const std::string p = "service." + ls.model + ".tt.";
     reg.counter(p + "probes").set(ls.tt.probes);
     reg.counter(p + "hits").set(ls.tt.hits);
@@ -593,10 +590,8 @@ void MatchService::publish_metrics() {
     reg.counter(p + "grafts").set(ls.tt_grafts);
     reg.gauge(p + "entries").set(static_cast<double>(ls.tt.entries));
     reg.gauge(p + "occupancy")
-        .set(ls.tt.capacity > 0
-                 ? static_cast<double>(ls.tt.entries) /
-                       static_cast<double>(ls.tt.capacity)
-                 : 0.0);
+        .set(static_cast<double>(ls.tt.entries) /
+             static_cast<double>(ls.tt.capacity));
     reg.gauge(p + "graft_rate").set(ls.tt_graft_rate);
   }
 }
@@ -654,7 +649,6 @@ ServiceStats MatchService::stats() const {
     ls.tt_grafts = lane.tt_grafts;
     ls.tt_demand = lane.tt_demand;
     if (const TranspositionTable* tt = pool_.transposition(lane.model_id)) {
-      ls.tt_shared = true;
       ls.tt = tt->stats();
     }
     ls.batch = stats_delta(queue.stats(), lane.start);

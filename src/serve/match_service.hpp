@@ -164,10 +164,9 @@ struct ServiceLaneStats {
   double tt_graft_rate = 0.0;
   std::uint64_t tt_grafts = 0;
   std::uint64_t tt_demand = 0;  // grafts + leaf eval requests
-  // true when the lane owns a shared TranspositionTable every slot's engine
-  // grafts from (ModelSpec::tt.enabled); `tt` then snapshots it. false with
-  // a zero snapshot when slots run private (or no) tables.
-  bool tt_shared = false;
+  // Snapshot of the lane's TranspositionTable, which every slot's engine
+  // grafts from (ModelSpec::tt.enabled); all zero (capacity 0) when the
+  // lane has no table.
   TtStatsSnapshot tt;
   BatchQueueStats batch;
   CacheStats cache;

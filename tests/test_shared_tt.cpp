@@ -128,7 +128,7 @@ TEST(SharedTt, ServiceResultsIndependentOfWorkerCount) {
   EXPECT_GT(s1.tt_grafts, 0u);
   EXPECT_GT(s3.tt_grafts, 0u);
   ASSERT_EQ(s1.lanes.size(), 1u);
-  EXPECT_TRUE(s1.lanes[0].tt_shared);
+  EXPECT_GT(s1.lanes[0].tt.capacity, 0u);  // the lane owns a table
   EXPECT_GT(s1.lanes[0].tt.hits, 0u);
   EXPECT_GT(s1.lanes[0].tt.stores, 0u);
 }
@@ -147,9 +147,9 @@ TEST(SharedTt, AnnounceFromOneGameIsPendingForAnother) {
   EXPECT_EQ(tt.probe(key, view), TtProbeResult::kPending);  // game B
 
   const TtEdge edges[2] = {make_edge(0, 0.5f), make_edge(1, 0.5f)};
-  tt.store(key, 0.25f, 3, edges, 2, /*release_inflight=*/true);  // A lands
+  tt.store(key, 0.25f, 3, edges, 2, /*visits=*/0,
+           /*release_inflight=*/true);                  // A lands
   ASSERT_EQ(tt.probe(key, view), TtProbeResult::kHit);  // B grafts
-  EXPECT_EQ(view.inflight, 0);
   EXPECT_FLOAT_EQ(view.value, 0.25f);
   EXPECT_EQ(tt.stats().pending, 1u);
 }
@@ -177,8 +177,8 @@ TEST(SharedTt, InvalidateClearsOneLanesTtAndCacheOnly) {
 
   // Seed both lanes' memories: one TT entry and one cache entry each.
   const TtEdge edges[1] = {make_edge(0, 1.0f)};
-  pool.transposition(id_a)->store(0x111ULL, 0.5f, 1, edges, 1, false);
-  pool.transposition(id_b)->store(0x222ULL, 0.5f, 1, edges, 1, false);
+  pool.transposition(id_a)->store(0x111ULL, 0.5f, 1, edges, 1, 0, false);
+  pool.transposition(id_b)->store(0x222ULL, 0.5f, 1, edges, 1, 0, false);
   std::vector<float> input(g.encode_size(), 0.5f);
   pool.queue(id_a).submit_future(input.data(), 0, g.eval_key()).get();
   pool.queue(id_b).submit_future(input.data(), 0, g.eval_key()).get();
@@ -210,10 +210,8 @@ TEST(SharedTt, SharedClockSurvivesAnotherEnginesReset) {
   SearchResources res;
   res.evaluator = &eval;
   res.tt = &tt;
-  res.tt_shared = true;
   SearchEngine a(ec, res);
   SearchEngine b(ec, res);
-  EXPECT_TRUE(a.transposition_shared());
   EXPECT_EQ(a.transposition(), &tt);
   EXPECT_EQ(b.transposition(), &tt);
 
@@ -228,7 +226,7 @@ TEST(SharedTt, SharedClockSurvivesAnotherEnginesReset) {
   EXPECT_GT(entries_before, 0u);
 
   b.reset_game();  // engine B's game ended; A's memos must survive
-  EXPECT_GE(tt.generation(), gen_before);  // bumped, never rewound
+  EXPECT_EQ(tt.generation(), gen_before + 1);  // one tick, never rewound
   EXPECT_EQ(tt.stats().entries, entries_before);
 }
 
@@ -265,7 +263,7 @@ TEST(SharedTt, ContendedTinyTableStaysConsistent) {
         bool announced = false;
         if (pr == TtProbeResult::kMiss) announced = tt.announce(key);
         tt.store(key, 0.1f * static_cast<float>(t), i % 5, edges, 3,
-                 announced);
+                 /*visits=*/0, announced);
       }
     });
   }
@@ -289,7 +287,7 @@ TEST(SharedTt, ContendedTinyTableStaysConsistent) {
   // one more bump ages them, as the next committed move would.
   tt.bump_generation();
   const TtEdge edges[1] = {make_edge(0, 1.0f)};
-  tt.store(0x5151ULL, 0.5f, 1, edges, 1, false);
+  tt.store(0x5151ULL, 0.5f, 1, edges, 1, /*visits=*/0, false);
   TtView view;
   EXPECT_EQ(tt.probe(0x5151ULL, view), TtProbeResult::kHit);
 }

@@ -3,9 +3,9 @@
 // scoring, generation aging, inflight pinning), graft-vs-cold-start search
 // equivalence on Connect4, driver coverage for the
 // LocalTree batched-probe path, a SharedTree contended stress run over a
-// deliberately tiny table (the TSan target), and the SearchEngine glue:
-// archive-on-advance, epoch/generation lockstep, background-compaction
-// determinism, and reset_game() carry-over policy.
+// deliberately tiny table (the TSan target), and the SearchEngine glue over
+// a caller-owned table: archive-on-advance, one clock tick per epoch,
+// background-compaction determinism, and reset_game() carry-over.
 
 #include <gtest/gtest.h>
 
@@ -31,14 +31,15 @@ TtConfig table_config(std::size_t capacity, int ways, int max_edges = 8) {
   return cfg;
 }
 
-TtEdge make_edge(int action, float prior, std::int64_t visits = 0,
-                 double value_sum = 0.0) {
+TtEdge make_edge(int action, float prior) {
   TtEdge e;
   e.action = action;
   e.prior = prior;
-  e.visits = visits;
-  e.value_sum = value_sum;
   return e;
+}
+
+void bump_generations(TranspositionTable& tt, int n) {
+  for (int i = 0; i < n; ++i) tt.bump_generation();
 }
 
 // --- unit behaviour ------------------------------------------------------
@@ -46,14 +47,12 @@ TtEdge make_edge(int action, float prior, std::int64_t visits = 0,
 TEST(TranspositionTable, StoreThenProbeRoundTrips) {
   TranspositionTable tt(table_config(64, 4));
   const TtEdge edges[2] = {make_edge(0, 0.25f), make_edge(3, 0.75f)};
-  tt.store(0xABCD1234ULL, 0.5f, 3, edges, 2, false);
+  tt.store(0xABCD1234ULL, 0.5f, 3, edges, 2, /*visits=*/0, false);
 
   TtView v;
   ASSERT_EQ(tt.probe(0xABCD1234ULL, v), TtProbeResult::kHit);
   EXPECT_FLOAT_EQ(v.value, 0.5f);
   EXPECT_EQ(v.depth, 3);
-  EXPECT_EQ(v.inflight, 0);
-  EXPECT_EQ(v.visits, 0);
   ASSERT_EQ(v.edges.size(), 2u);
   EXPECT_EQ(v.edges[0].action, 0);
   EXPECT_FLOAT_EQ(v.edges[0].prior, 0.25f);
@@ -79,37 +78,51 @@ TEST(TranspositionTable, AnnounceMakesConcurrentProbesPending) {
   EXPECT_EQ(tt.probe(key, v), TtProbeResult::kPending);
 
   const TtEdge edges[1] = {make_edge(2, 1.0f)};
-  tt.store(key, -0.25f, 1, edges, 1, /*release_inflight=*/true);
+  tt.store(key, -0.25f, 1, edges, 1, /*visits=*/0, /*release_inflight=*/true);
   ASSERT_EQ(tt.probe(key, v), TtProbeResult::kHit);
-  EXPECT_EQ(v.inflight, 0);
   EXPECT_FLOAT_EQ(v.value, -0.25f);
   EXPECT_EQ(tt.stats().pending, 1u);
 }
 
 TEST(TranspositionTable, SecondStoreOfSamePositionMergesVisitMass) {
-  TranspositionTable tt(table_config(64, 4));
+  // capacity == ways ⇒ a single bucket: every key contends for 4 ways.
+  TranspositionTable tt(table_config(4, 4));
   const std::uint64_t key = 0xBEEFULL;
   const TtEdge first[2] = {make_edge(1, 0.6f), make_edge(4, 0.4f)};
-  tt.store(key, 0.1f, 2, first, 2, false);
+  tt.store(key, 0.1f, 2, first, 2, /*visits=*/0, false);
 
   // The archive pass re-stores the same position with live visit mass; the
-  // memo (priors/value) is kept, the mass folds in.
-  const TtEdge again[2] = {make_edge(1, 0.9f, 5, 2.5),
-                           make_edge(4, 0.1f, 3, -1.0)};
-  tt.store(key, 0.9f, 1, again, 2, false);
+  // memo (priors/value) is kept, the mass folds into the entry's weight.
+  const TtEdge again[2] = {make_edge(1, 0.9f), make_edge(4, 0.1f)};
+  tt.store(key, 0.9f, 1, again, 2, /*visits=*/8, false);
 
   TtView v;
   ASSERT_EQ(tt.probe(key, v), TtProbeResult::kHit);
   EXPECT_FLOAT_EQ(v.value, 0.1f);  // original memo survives
-  EXPECT_EQ(v.visits, 8);
-  EXPECT_EQ(v.depth, 1);  // min depth wins
+  EXPECT_EQ(v.depth, 1);           // min depth wins
   ASSERT_EQ(v.edges.size(), 2u);
   EXPECT_FLOAT_EQ(v.edges[0].prior, 0.6f);
-  EXPECT_EQ(v.edges[0].visits, 5);
-  EXPECT_DOUBLE_EQ(v.edges[0].value_sum, 2.5);
-  EXPECT_EQ(v.edges[1].visits, 3);
+  EXPECT_FLOAT_EQ(v.edges[1].prior, 0.4f);
   EXPECT_EQ(tt.stats().merges, 1u);
   EXPECT_EQ(tt.stats().entries, 1u);
+
+  // Replacement pressure: three massless siblings at the same depth fill
+  // the bucket, everything ages, and three fresh stores evict. The merged
+  // entry sits in way 0, so without its folded mass it would tie with the
+  // siblings and be the first victim.
+  const TtEdge e[1] = {make_edge(0, 1.0f)};
+  for (std::uint64_t k : {11ULL, 12ULL, 13ULL}) {
+    tt.store(k, 0.0f, 1, e, 1, /*visits=*/0, false);
+  }
+  bump_generations(tt, 4);
+  for (std::uint64_t k : {21ULL, 22ULL, 23ULL}) {
+    tt.store(k, 0.0f, 1, e, 1, /*visits=*/0, false);
+  }
+  EXPECT_EQ(tt.stats().replacements, 3u);
+  EXPECT_EQ(tt.probe(key, v), TtProbeResult::kHit);
+  for (std::uint64_t k : {11ULL, 12ULL, 13ULL}) {
+    EXPECT_EQ(tt.probe(k, v), TtProbeResult::kMiss) << k;
+  }
 }
 
 TEST(TranspositionTable, OversizedFanoutIsSkippedAndFreesPlaceholder) {
@@ -121,7 +134,8 @@ TEST(TranspositionTable, OversizedFanoutIsSkippedAndFreesPlaceholder) {
   // released, and the dead placeholder's way is freed.
   std::vector<TtEdge> edges;
   for (int a = 0; a < 5; ++a) edges.push_back(make_edge(a, 0.2f));
-  tt.store(key, 0.0f, 0, edges.data(), 5, /*release_inflight=*/true);
+  tt.store(key, 0.0f, 0, edges.data(), 5, /*visits=*/0,
+           /*release_inflight=*/true);
 
   TtView v;
   EXPECT_EQ(tt.probe(key, v), TtProbeResult::kMiss);
@@ -132,21 +146,20 @@ TEST(TranspositionTable, OversizedFanoutIsSkippedAndFreesPlaceholder) {
 TEST(TranspositionTable, ReplacementEvictsLowestRetainScoreAfterAging) {
   // capacity == ways ⇒ a single bucket: every key contends for 4 ways.
   TranspositionTable tt(table_config(4, 4));
-  const TtEdge e9[1] = {make_edge(0, 1.0f, 9, 0.0)};
-  const TtEdge e0[1] = {make_edge(0, 1.0f, 0, 0.0)};
-  tt.store(101, 0.0f, 2, e9, 1, false);
-  tt.store(202, 0.0f, 2, e9, 1, false);
-  tt.store(303, 0.0f, 2, e9, 1, false);
-  tt.store(404, 0.0f, 2, e0, 1, false);  // lowest visit mass → the victim
+  const TtEdge e[1] = {make_edge(0, 1.0f)};
+  tt.store(101, 0.0f, 2, e, 1, /*visits=*/9, false);
+  tt.store(202, 0.0f, 2, e, 1, /*visits=*/9, false);
+  tt.store(303, 0.0f, 2, e, 1, /*visits=*/9, false);
+  tt.store(404, 0.0f, 2, e, 1, /*visits=*/0, false);  // lowest mass → victim
 
   // Fresh entries outscore nothing yet; a new store is dropped.
-  tt.store(505, 0.0f, 2, e0, 1, false);
+  tt.store(505, 0.0f, 2, e, 1, /*visits=*/0, false);
   EXPECT_EQ(tt.stats().dropped, 1u);
 
   // Four compaction epochs later the stale mass has decayed and a fresh
   // store evicts exactly the weakest way.
-  tt.set_generation(4);
-  tt.store(606, 0.0f, 2, e0, 1, false);
+  bump_generations(tt, 4);
+  tt.store(606, 0.0f, 2, e, 1, /*visits=*/0, false);
   EXPECT_EQ(tt.stats().replacements, 1u);
 
   TtView v;
@@ -164,9 +177,9 @@ TEST(TranspositionTable, NeverEvictsInflightEntries) {
 
   // Bucket full of announced placeholders: a store of a fifth key finds no
   // admissible victim and is dropped rather than stomping pending work.
-  const TtEdge e[1] = {make_edge(0, 1.0f, 100, 0.0)};
-  tt.set_generation(10);  // even heavy aging never exposes inflight ways
-  tt.store(55, 0.0f, 0, e, 1, false);
+  const TtEdge e[1] = {make_edge(0, 1.0f)};
+  bump_generations(tt, 10);  // even heavy aging never exposes inflight ways
+  tt.store(55, 0.0f, 0, e, 1, /*visits=*/100, false);
   EXPECT_EQ(tt.stats().dropped, 1u);
 
   TtView v;
@@ -174,28 +187,10 @@ TEST(TranspositionTable, NeverEvictsInflightEntries) {
   EXPECT_EQ(tt.probe(1, v), TtProbeResult::kPending);
 }
 
-TEST(TranspositionTable, MaxAgeTreatsStaleEntriesAsMisses) {
-  TtConfig cfg = table_config(64, 4);
-  cfg.max_age = 2;
-  TranspositionTable tt(cfg);
-  const TtEdge e[1] = {make_edge(0, 1.0f)};
-  tt.store(0xAAAULL, 0.0f, 0, e, 1, false);
-
-  TtView v;
-  tt.set_generation(2);  // age 2 == max_age: still live (and refreshed)
-  EXPECT_EQ(tt.probe(0xAAAULL, v), TtProbeResult::kHit);
-
-  tt.store(0xBBBULL, 0.0f, 0, e, 1, false);
-  tt.set_generation(5);  // age 3 > max_age: aged out
-  EXPECT_EQ(tt.probe(0xBBBULL, v), TtProbeResult::kMiss);
-  // 0xAAA was refreshed to generation 2 by its hit — age 3 now, also out.
-  EXPECT_EQ(tt.probe(0xAAAULL, v), TtProbeResult::kMiss);
-}
-
 TEST(TranspositionTable, ClearDropsEntriesButKeepsCounters) {
   TranspositionTable tt(table_config(64, 4));
   const TtEdge e[1] = {make_edge(0, 1.0f)};
-  tt.store(7, 0.0f, 0, e, 1, false);
+  tt.store(7, 0.0f, 0, e, 1, /*visits=*/0, false);
   tt.clear();
   TtView v;
   EXPECT_EQ(tt.probe(7, v), TtProbeResult::kMiss);
@@ -325,55 +320,64 @@ EngineConfig tt_engine_config(int playouts) {
   ec.mcts = serial_config(playouts);
   ec.scheme = Scheme::kSerial;
   ec.adapt = false;
-  ec.tt.enabled = true;
-  ec.tt.capacity = 1 << 14;
-  ec.tt.max_edges = 30;
   return ec;
+}
+
+// The caller-owned table every engine case attaches via SearchResources.
+TtConfig engine_table_config() {
+  return table_config(1 << 14, 4, /*max_edges=*/30);
 }
 
 TEST(EngineTt, AdvanceArchivesDiscardedSubtreesAndTracksEpoch) {
   Gomoku env(5, 4);
   SyntheticEvaluator eval(env.action_count(), env.encode_size());
-  SearchEngine engine(tt_engine_config(300), {.evaluator = &eval});
-  ASSERT_NE(engine.transposition(), nullptr);
+  TranspositionTable tt(engine_table_config());
+  SearchEngine engine(tt_engine_config(300), {.evaluator = &eval, .tt = &tt});
+  ASSERT_EQ(engine.transposition(), &tt);
+  // One clock tick per epoch: the table's clock moves exactly as far as
+  // the tree's compaction epoch.
+  const std::uint32_t gen0 = tt.generation();
+  const std::uint32_t epoch0 = engine.tree().epoch();
 
   const SearchResult r = engine.search(env);
-  TranspositionTable* tt = engine.transposition();
-  EXPECT_EQ(tt->generation(), engine.tree().epoch());
-  const TtStatsSnapshot before = tt->stats();
+  EXPECT_EQ(tt.generation() - gen0, engine.tree().epoch() - epoch0);
+  const TtStatsSnapshot before = tt.stats();
   EXPECT_GT(before.entries, 0u);
 
   engine.advance(r.best_action);
   engine.wait_compaction();
   // The archive pass re-stores every discarded expanded node: the mass of
   // already-stored positions folds in as merges.
-  const TtStatsSnapshot after = tt->stats();
+  const TtStatsSnapshot after = tt.stats();
   EXPECT_GT(after.merges + after.stores, before.merges + before.stores);
-  // Generation tracks the compaction epoch in lockstep.
-  EXPECT_EQ(tt->generation(), engine.tree().epoch());
+  EXPECT_EQ(tt.generation() - gen0, engine.tree().epoch() - epoch0);
 }
 
-TEST(EngineTt, ResetGameClearsTableByDefault) {
+TEST(EngineTt, ResetGameKeepsEntriesAndTicksClockOnce) {
   Gomoku env(5, 4);
   SyntheticEvaluator eval(env.action_count(), env.encode_size());
-  SearchEngine engine(tt_engine_config(200), {.evaluator = &eval});
+  TranspositionTable tt(engine_table_config());
+  SearchEngine engine(tt_engine_config(200), {.evaluator = &eval, .tt = &tt});
   engine.search(env);
-  ASSERT_GT(engine.transposition()->stats().entries, 0u);
+  const std::size_t entries = tt.stats().entries;
+  ASSERT_GT(entries, 0u);
+  const std::uint32_t gen = tt.generation();
+
+  // Engines never clear a table: clearing is its owner's call.
   engine.reset_game();
-  EXPECT_EQ(engine.transposition()->stats().entries, 0u);
-  EXPECT_EQ(engine.transposition()->generation(), engine.tree().epoch());
+  EXPECT_EQ(tt.stats().entries, entries);
+  EXPECT_EQ(tt.generation(), gen + 1);
 }
 
-TEST(EngineTt, KeepAcrossGamesGraftsTheSecondGame) {
+TEST(EngineTt, SecondGameGrafts) {
   Gomoku env(5, 4);
   SyntheticEvaluator eval(env.action_count(), env.encode_size());
-  EngineConfig ec = tt_engine_config(300);
-  ec.tt_keep_across_games = true;
-  SearchEngine engine(ec, {.evaluator = &eval});
+  TranspositionTable tt(engine_table_config());
+  SearchEngine engine(tt_engine_config(300), {.evaluator = &eval, .tt = &tt});
 
   engine.search(env);
   engine.reset_game();
-  ASSERT_GT(engine.transposition()->stats().entries, 0u);  // carried over
+  ASSERT_GT(tt.stats().entries, 0u);  // carried over
 
   const SearchResult replay = engine.search(env);
   EXPECT_GT(replay.metrics.tt_grafts, 0u);
@@ -388,8 +392,11 @@ TEST(EngineTt, BackgroundCompactionMatchesInlineAdvance) {
   EngineConfig bg_cfg = inline_cfg;
   bg_cfg.background_compaction = true;
 
-  SearchEngine inline_engine(inline_cfg, {.evaluator = &eval});
-  SearchEngine bg_engine(bg_cfg, {.evaluator = &eval});
+  TranspositionTable inline_tt(engine_table_config());
+  TranspositionTable bg_tt(engine_table_config());
+  SearchEngine inline_engine(inline_cfg,
+                             {.evaluator = &eval, .tt = &inline_tt});
+  SearchEngine bg_engine(bg_cfg, {.evaluator = &eval, .tt = &bg_tt});
 
   std::unique_ptr<Game> env = env_a.clone();
   for (int move = 0; move < 4 && !env->is_terminal(); ++move) {
@@ -403,8 +410,7 @@ TEST(EngineTt, BackgroundCompactionMatchesInlineAdvance) {
   }
   bg_engine.wait_compaction();
   EXPECT_EQ(bg_engine.tree().epoch(), inline_engine.tree().epoch());
-  EXPECT_EQ(bg_engine.transposition()->generation(),
-            inline_engine.transposition()->generation());
+  EXPECT_EQ(bg_tt.generation(), inline_tt.generation());
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "games/othello.hpp"
 #include "games/zobrist.hpp"
 #include "mcts/engine.hpp"
+#include "mcts/transposition.hpp"
 #include "support/rng.hpp"
 
 namespace apm {
@@ -175,9 +176,10 @@ TEST(Zobrist, NodeHashMemoSurvivesAdvanceRoot) {
   ec.mcts.seed = 3;
   ec.scheme = Scheme::kSerial;
   ec.adapt = false;
-  ec.tt.enabled = true;
-  ec.tt.max_edges = 30;
-  SearchEngine engine(ec, {.evaluator = &eval});
+  TtConfig tc;
+  tc.max_edges = 30;
+  TranspositionTable tt(tc);
+  SearchEngine engine(ec, {.evaluator = &eval, .tt = &tt});
 
   for (int move = 0; move < 3 && !env.is_terminal(); ++move) {
     const SearchResult r = engine.search(env);
